@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--scale tiny|small|medium|paper] [--threads N] [--out DIR] \
-//!       [--bench-out FILE] [--infer-mode delta|full] [--gen-mode delta|full] \
+//!       [--bench-out FILE] [--obs-out FILE] [--degrade SPEC] \
 //!       <experiment>... | all | calibrate
 //! ```
 //!
@@ -26,8 +26,7 @@
 
 use mpa_bench::experiments;
 use mpa_bench::fixtures::{by_scale, Fixture, FixtureScale};
-use mpa_metrics::InferMode;
-use mpa_synth::{CoverageReport, DegradeSpec, GenMode};
+use mpa_synth::{CoverageReport, DegradeSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,8 +34,6 @@ fn main() {
     let mut out_dir: Option<String> = None;
     let mut bench_out: Option<String> = None;
     let mut obs_out: Option<String> = None;
-    let mut infer_mode = InferMode::default();
-    let mut gen_mode = GenMode::default();
     let mut degrade = DegradeSpec::none();
     // Raw flag values, kept verbatim for re-invoking self as a bench child.
     let mut scale_raw = "medium".to_string();
@@ -53,20 +50,6 @@ fn main() {
                     std::process::exit(2);
                 });
                 degrade_raw = Some(v.to_string());
-            }
-            "--infer-mode" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                infer_mode = InferMode::parse(v).unwrap_or_else(|| {
-                    eprintln!("--infer-mode must be \"delta\" or \"full\", got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--gen-mode" => {
-                let v = it.next().map(String::as_str).unwrap_or("");
-                gen_mode = GenMode::parse(v).unwrap_or_else(|| {
-                    eprintln!("--gen-mode must be \"delta\" or \"full\", got {v:?}");
-                    std::process::exit(2);
-                });
             }
             "--scale" => {
                 let v = it.next().map(String::as_str).unwrap_or("");
@@ -102,6 +85,13 @@ fn main() {
                 });
                 mpa_exec::set_threads(n);
             }
+            // Reject unknown flags before any work: taken as an experiment
+            // id, a mistyped flag would only fail after the bench or the
+            // fixture had run.
+            other if other.starts_with("--") => {
+                eprintln!("unknown flag {other:?}");
+                std::process::exit(2);
+            }
             other => targets.push(other.to_string()),
         }
     }
@@ -112,12 +102,8 @@ fn main() {
 
     // Child mode: one configuration in a fresh process, JSON on stdout.
     if let Some(threads) = bench_single {
-        let single = mpa_bench::run_pipeline_single_with(
-            &scale.scenario().with_degrade(degrade),
-            threads,
-            infer_mode,
-            gen_mode,
-        );
+        let single =
+            mpa_bench::run_pipeline_single(&scale.scenario().with_degrade(degrade), threads);
         println!("{}", serde_json::to_string(&single).expect("single serializes"));
         return;
     }
@@ -129,23 +115,14 @@ fn main() {
         let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         eprintln!(
             "[mpa] pipeline bench: scale {scale:?}, thread counts {counts:?} \
-             ({host_cores} cores available), infer mode {}, gen mode {}, one \
-             child process per configuration",
-            infer_mode.label(),
-            gen_mode.label()
+             ({host_cores} cores available), one child process per configuration"
         );
         let singles: Vec<mpa_bench::SingleRun> = counts
             .iter()
-            .map(|&n| {
-                run_bench_child(n, &scale_raw, infer_mode, gen_mode, degrade_raw.as_deref())
-            })
+            .map(|&n| run_bench_child(n, &scale_raw, degrade_raw.as_deref()))
             .collect();
-        let bench = mpa_bench::assemble_pipeline_bench_with(
-            &scale.scenario().with_degrade(degrade),
-            infer_mode,
-            gen_mode,
-            &singles,
-        );
+        let bench =
+            mpa_bench::assemble_pipeline_bench(&scale.scenario().with_degrade(degrade), &singles);
         let json = serde_json::to_string(&bench).expect("bench serializes");
         std::fs::write(path, &json).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
@@ -166,7 +143,7 @@ fn main() {
         );
         eprintln!(
             "[mpa]   snapshot dedup: {:.1}% of replayed snapshots were distinct \
-             (materialized + parsed once each)",
+             (segmented once each)",
             bench.snapshot_dedup_ratio * 100.0
         );
         // A speedup figure is only honest when the widest run actually
@@ -207,18 +184,16 @@ fn main() {
     if targets.is_empty() {
         eprintln!(
             "usage: repro [--scale tiny|small|medium|paper] [--threads N] [--out DIR] \
-             [--bench-out FILE] [--obs-out FILE] [--infer-mode delta|full] \
-             [--gen-mode delta|full] [--degrade none|light|heavy|key=rate,...] \
-             <experiment>...|all|calibrate"
+             [--bench-out FILE] [--obs-out FILE] \
+             [--degrade none|light|heavy|key=rate,...] <experiment>...|all|calibrate"
         );
         eprintln!("experiments: {}", experiments::ALL_EXPERIMENTS.join(" "));
         std::process::exit(2);
     }
 
-    // Degraded scenarios and the full-render oracle bypass the pristine
-    // per-scale cache (which is generated with the default engine).
-    let custom: Option<Fixture> = (degrade.is_active() || gen_mode != GenMode::default())
-        .then(|| Fixture::custom_with_mode(&scale.scenario().with_degrade(degrade), gen_mode));
+    // Degraded scenarios bypass the pristine per-scale cache.
+    let custom: Option<Fixture> =
+        degrade.is_active().then(|| Fixture::custom(&scale.scenario().with_degrade(degrade)));
     let fx = custom.as_ref().unwrap_or_else(|| by_scale(scale));
 
     // Publish the scenario coverage scan (RunReport carries it) and print
@@ -267,8 +242,6 @@ fn main() {
 fn run_bench_child(
     threads: usize,
     scale_raw: &str,
-    infer_mode: InferMode,
-    gen_mode: GenMode,
     degrade_raw: Option<&str>,
 ) -> mpa_bench::SingleRun {
     let exe = std::env::current_exe().unwrap_or_else(|e| {
@@ -276,9 +249,7 @@ fn run_bench_child(
         std::process::exit(1);
     });
     let mut cmd = std::process::Command::new(exe);
-    cmd.args(["--bench-single", &threads.to_string(), "--scale", scale_raw])
-        .args(["--infer-mode", infer_mode.label()])
-        .args(["--gen-mode", gen_mode.label()]);
+    cmd.args(["--bench-single", &threads.to_string(), "--scale", scale_raw]);
     if let Some(d) = degrade_raw {
         cmd.args(["--degrade", d]);
     }

@@ -18,8 +18,7 @@ pub mod serve_load;
 
 pub use fixtures::{Fixture, FixtureScale};
 pub use pipeline_bench::{
-    assemble_pipeline_bench, assemble_pipeline_bench_with, run_pipeline_bench,
-    run_pipeline_bench_with_mode, run_pipeline_single, run_pipeline_single_with, PipelineBench,
-    PipelineRun, SingleRun,
+    assemble_pipeline_bench, run_pipeline_bench, run_pipeline_single, PipelineBench, PipelineRun,
+    SingleRun,
 };
 pub use serve_load::{run_load, LoadConfig, ServeBench};

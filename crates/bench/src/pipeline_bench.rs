@@ -21,9 +21,9 @@
 //! per-configuration figure. [`run_pipeline_bench`] keeps the in-process
 //! path for tests and library callers who only need timings.
 
-use mpa_metrics::pipeline::{infer_with_mode, InferMode};
+use mpa_metrics::pipeline::infer;
 use mpa_metrics::DELTA_DEFAULT_MINUTES;
-use mpa_synth::{GenMode, Scenario};
+use mpa_synth::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -109,10 +109,6 @@ pub struct PipelineBench {
     pub archive_total_bytes: usize,
     /// Bytes held by the delta-encoded representation (line table + ids).
     pub archive_text_bytes: usize,
-    /// Which inference engine the runs used (`"delta"` or `"full"`).
-    pub infer_mode: String,
-    /// Which generation engine the runs used (`"delta"` or `"full"`).
-    pub gen_mode: String,
     /// One entry per benchmarked thread count.
     pub runs: Vec<PipelineRun>,
     /// Total-time ratio of the 1-thread baseline to the widest run. This is
@@ -136,8 +132,8 @@ pub struct PipelineBench {
     pub occupancy_limited: bool,
     /// Distinct snapshot states / snapshots visited during inference
     /// (`parse_cache_misses / parse_snapshots_visited` of the baseline
-    /// run): the fraction of replayed snapshots the dedup-before-
-    /// materialize path actually had to render and parse.
+    /// run): the fraction of replayed snapshots that were distinct states
+    /// and so had to be segmented by the delta engine.
     pub snapshot_dedup_ratio: f64,
     /// Whether every run produced bit-identical output (summary, case
     /// rows and MI ranking compared across thread counts).
@@ -169,20 +165,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Run the pipeline once at `threads` workers with the default generation
-/// engine; see [`run_pipeline_single_with`].
-pub fn run_pipeline_single(scenario: &Scenario, threads: usize, mode: InferMode) -> SingleRun {
-    run_pipeline_single_with(scenario, threads, mode, GenMode::default())
-}
-
 /// Run the pipeline once at `threads` workers and fingerprint the output.
 /// Restores the previously configured thread count before returning.
-pub fn run_pipeline_single_with(
-    scenario: &Scenario,
-    threads: usize,
-    mode: InferMode,
-    gen_mode: GenMode,
-) -> SingleRun {
+pub fn run_pipeline_single(scenario: &Scenario, threads: usize) -> SingleRun {
     let saved = mpa_exec::threads();
     mpa_exec::set_threads(threads);
     let counters_before = mpa_obs::counters::snapshot();
@@ -196,14 +181,11 @@ pub fn run_pipeline_single_with(
     let (dataset, inference, mi, generate_s, infer_s, mi_ranking_s) =
         mpa_obs::span(&run_label, || {
             let t0 = Instant::now();
-            let dataset =
-                mpa_obs::span("generate", || scenario.generate_with_mode(gen_mode));
+            let dataset = mpa_obs::span("generate", || scenario.generate());
             let generate_s = t0.elapsed().as_secs_f64();
 
             let t1 = Instant::now();
-            let inference = mpa_obs::span("infer", || {
-                infer_with_mode(&dataset, DELTA_DEFAULT_MINUTES, mode)
-            });
+            let inference = mpa_obs::span("infer", || infer(&dataset, DELTA_DEFAULT_MINUTES));
             let infer_s = t1.elapsed().as_secs_f64();
 
             let t2 = Instant::now();
@@ -263,21 +245,7 @@ pub fn run_pipeline_single_with(
 /// Combine per-configuration runs (in thread-count submission order; the
 /// first is the speedup baseline, the last the widest) into the
 /// `BENCH_pipeline.json` artifact.
-pub fn assemble_pipeline_bench(
-    scenario: &Scenario,
-    mode: InferMode,
-    singles: &[SingleRun],
-) -> PipelineBench {
-    assemble_pipeline_bench_with(scenario, mode, GenMode::default(), singles)
-}
-
-/// [`assemble_pipeline_bench`] with an explicit generation engine label.
-pub fn assemble_pipeline_bench_with(
-    scenario: &Scenario,
-    mode: InferMode,
-    gen_mode: GenMode,
-    singles: &[SingleRun],
-) -> PipelineBench {
+pub fn assemble_pipeline_bench(scenario: &Scenario, singles: &[SingleRun]) -> PipelineBench {
     assert!(!singles.is_empty(), "need at least one run");
     let deterministic = singles.iter().all(|s| s.fingerprint == singles[0].fingerprint);
     let runs: Vec<PipelineRun> = singles.iter().map(|s| s.run.clone()).collect();
@@ -310,8 +278,6 @@ pub fn assemble_pipeline_bench_with(
         available_cores: host_cores.max(max_threads),
         archive_total_bytes: singles.last().expect("non-empty").archive_total_bytes,
         archive_text_bytes: singles.last().expect("non-empty").archive_text_bytes,
-        infer_mode: mode.label().to_string(),
-        gen_mode: gen_mode.label().to_string(),
         speedup: phase_speedup(|r| r.total_s),
         generate_speedup: phase_speedup(|r| r.generate_s),
         infer_speedup: phase_speedup(|r| r.infer_s),
@@ -323,33 +289,19 @@ pub fn assemble_pipeline_bench_with(
     }
 }
 
-/// Run the pipeline at each thread count with the default (delta-native)
-/// inference engine and compare outputs.
+/// Run the pipeline at each thread count and compare outputs.
 ///
 /// The first entry of `thread_counts` is the baseline for the speedup
 /// figure; pass `[1, n]` for the canonical sequential-vs-parallel number.
-pub fn run_pipeline_bench(scenario: &Scenario, thread_counts: &[usize]) -> PipelineBench {
-    run_pipeline_bench_with_mode(scenario, thread_counts, InferMode::default())
-}
-
-/// Run the pipeline at each thread count with an explicit inference
-/// engine; see [`run_pipeline_bench`].
-///
 /// All runs share this process, so later entries' `peak_rss_mib` inherit
 /// earlier runs' allocator high-water (`VmHWM` is monotone). For honest
 /// per-configuration RSS use `repro --bench-out`, which runs each count
 /// in a fresh child via [`run_pipeline_single`].
-pub fn run_pipeline_bench_with_mode(
-    scenario: &Scenario,
-    thread_counts: &[usize],
-    mode: InferMode,
-) -> PipelineBench {
+pub fn run_pipeline_bench(scenario: &Scenario, thread_counts: &[usize]) -> PipelineBench {
     assert!(!thread_counts.is_empty(), "need at least one thread count");
-    let singles: Vec<SingleRun> = thread_counts
-        .iter()
-        .map(|&threads| run_pipeline_single(scenario, threads, mode))
-        .collect();
-    assemble_pipeline_bench(scenario, mode, &singles)
+    let singles: Vec<SingleRun> =
+        thread_counts.iter().map(|&threads| run_pipeline_single(scenario, threads)).collect();
+    assemble_pipeline_bench(scenario, &singles)
 }
 
 #[cfg(test)]
@@ -419,27 +371,13 @@ mod tests {
     }
 
     #[test]
-    fn infer_mode_and_effective_parallelism_are_recorded() {
-        let bench = run_pipeline_bench_with_mode(&Scenario::tiny(), &[1], InferMode::Full);
-        assert_eq!(bench.infer_mode, "full");
-        assert!(bench.runs[0].effective_parallelism > 0.0);
-        let json = serde_json::to_string(&bench).expect("serializes");
-        assert!(json.contains("infer_mode"), "infer_mode missing from artifact");
-        assert!(
-            json.contains("effective_parallelism"),
-            "effective_parallelism missing from artifact"
-        );
-        assert_eq!(run_pipeline_bench(&Scenario::tiny(), &[1]).infer_mode, "delta");
-    }
-
-    #[test]
-    fn gen_mode_and_generate_sub_phases_are_recorded() {
+    fn effective_parallelism_and_generate_sub_phases_are_recorded() {
         let scenario = Scenario::tiny();
-        let single =
-            run_pipeline_single_with(&scenario, 1, InferMode::default(), GenMode::Delta);
+        let single = run_pipeline_single(&scenario, 1);
         let r = &single.run;
-        // Delta generation renders and encodes real work; merge/simulate are
-        // wall regions that always tick.
+        assert!(r.effective_parallelism > 0.0);
+        // Generation renders and encodes real work; merge/simulate are wall
+        // regions that always tick.
         assert!(r.simulate_s > 0.0, "simulate phase must accumulate");
         assert!(r.render_s > 0.0, "render phase must accumulate");
         assert!(r.encode_s > 0.0, "encode phase must accumulate");
@@ -453,18 +391,11 @@ mod tests {
             r.encode_s,
             r.simulate_s
         );
-        let bench = assemble_pipeline_bench_with(
-            &scenario,
-            InferMode::default(),
-            GenMode::Full,
-            &[single],
-        );
-        assert_eq!(bench.gen_mode, "full");
+        let bench = assemble_pipeline_bench(&scenario, &[single]);
         let json = serde_json::to_string(&bench).expect("serializes");
-        for key in ["gen_mode", "simulate_s", "render_s", "encode_s", "merge_s"] {
+        for key in ["effective_parallelism", "simulate_s", "render_s", "encode_s", "merge_s"] {
             assert!(json.contains(key), "{key} missing from artifact");
         }
-        assert_eq!(run_pipeline_bench(&Scenario::tiny(), &[1]).gen_mode, "delta");
     }
 
     #[test]
@@ -477,7 +408,7 @@ mod tests {
         let singles: Vec<SingleRun> = [1usize, 2]
             .iter()
             .map(|&t| {
-                let s = run_pipeline_single(&scenario, t, InferMode::default());
+                let s = run_pipeline_single(&scenario, t);
                 let json = serde_json::to_string(&s).expect("single serializes");
                 serde_json::from_str(&json).expect("single round-trips")
             })
@@ -487,7 +418,7 @@ mod tests {
             singles[0].fingerprint, singles[1].fingerprint,
             "same scenario, same output, same fingerprint"
         );
-        let bench = assemble_pipeline_bench(&scenario, InferMode::default(), &singles);
+        let bench = assemble_pipeline_bench(&scenario, &singles);
         assert!(bench.deterministic);
         assert_eq!(bench.runs.len(), 2);
         assert_eq!(bench.runs[1].threads, 2);
@@ -498,19 +429,18 @@ mod tests {
     #[test]
     fn occupancy_limited_reflects_the_widest_runs_measured_parallelism() {
         let scenario = Scenario::tiny();
-        let mut singles =
-            vec![run_pipeline_single(&scenario, 1, InferMode::default())];
-        singles.push(run_pipeline_single(&scenario, 2, InferMode::default()));
+        let mut singles = vec![run_pipeline_single(&scenario, 1)];
+        singles.push(run_pipeline_single(&scenario, 2));
         // Force both verdicts rather than depending on the host.
         singles[1].run.effective_parallelism = 1.0;
-        let limited = assemble_pipeline_bench(&scenario, InferMode::default(), &singles);
+        let limited = assemble_pipeline_bench(&scenario, &singles);
         assert!(limited.occupancy_limited, "parallelism 1.0 at 2 threads is occupancy-limited");
         singles[1].run.effective_parallelism = 1.9;
-        let scaling = assemble_pipeline_bench(&scenario, InferMode::default(), &singles);
+        let scaling = assemble_pipeline_bench(&scenario, &singles);
         assert!(!scaling.occupancy_limited, "parallelism 1.9 at 2 threads is real concurrency");
         // A single-threaded-only bench is never "limited": there was no
         // concurrency claim to caveat.
-        let solo = assemble_pipeline_bench(&scenario, InferMode::default(), &singles[..1]);
+        let solo = assemble_pipeline_bench(&scenario, &singles[..1]);
         assert!(!solo.occupancy_limited);
     }
 

@@ -21,7 +21,6 @@ use crate::snapshot::{Login, Snapshot, SnapshotMeta};
 use mpa_model::{DeviceId, Timestamp};
 use serde::{expect_object, field, Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Id of an interned configuration line within an archive's [`LineTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -179,7 +178,13 @@ impl Serialize for LineTable {
 
 impl Deserialize for LineTable {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        Vec::<String>::from_value(v).map(Self::from_lines)
+        let lines = Vec::<String>::from_value(v)?;
+        // `split_lines` never interns a line holding '\n'; one that did
+        // would materialize as two lines but segment as one.
+        if let Some(i) = lines.iter().position(|l| l.contains('\n')) {
+            return Err(SerdeError::custom(format!("LineTable: line {i} contains a newline")));
+        }
+        Ok(Self::from_lines(lines))
     }
 }
 
@@ -343,12 +348,54 @@ impl DeviceHistory {
         self.delta_ids.extend_from_slice(&d.added);
     }
 
-    fn rebuild_tip(&mut self) {
+    /// Replay the deltas from `base` into `tip`, checking that the history
+    /// is one [`SnapshotArchive::push`] could have built for device `dev`
+    /// against `table`: every snapshot belongs to `dev` and none goes back
+    /// in time, every id names an interned line, every delta's `removed`
+    /// hunk fits the current sequence and equals the slice it replaces, and
+    /// every recorded text length matches its line sequence.
+    /// Deserialization runs this, so a corrupt archive is an error at load
+    /// instead of a panic (or a silently different text) later in replay.
+    fn rebuild_tip(&mut self, dev: DeviceId, table: &LineTable) -> Result<(), String> {
+        if let Some(m) = self.metas.iter().find(|m| m.device != dev) {
+            return Err(format!("holds a snapshot of {}", m.device));
+        }
+        if self.metas.windows(2).any(|w| w[1].time < w[0].time) {
+            return Err("snapshot times go backwards".to_string());
+        }
+        let n_lines = table.len();
+        let mut ids = self.base.iter().chain(&self.delta_ids);
+        if let Some(bad) = ids.find(|id| id.0 as usize >= n_lines) {
+            return Err(format!("line id {} is outside the {n_lines}-line table", bad.0));
+        }
+        let bytes_of = |ids: &[LineId]| ids.iter().map(|&id| table.get(id).len()).sum::<usize>();
         let mut cur = self.base.clone();
-        for i in 0..self.n_deltas() {
-            self.delta(i).apply(&mut cur);
+        let mut line_bytes = bytes_of(&cur);
+        for (i, &text_len) in self.text_lens.iter().enumerate() {
+            if i > 0 {
+                let d = self.delta(i - 1);
+                let at = d.at as usize;
+                let replaced = cur.get(at..at + d.removed.len());
+                if replaced != Some(d.removed) {
+                    return Err(format!(
+                        "delta {} removes {} line(s) at line {at} that the sequence does not hold",
+                        i - 1,
+                        d.removed.len()
+                    ));
+                }
+                line_bytes = line_bytes - bytes_of(d.removed) + bytes_of(d.added);
+                d.apply(&mut cur);
+            }
+            // Lines joined by '\n', plus at most one trailing newline.
+            let joined = line_bytes + cur.len().saturating_sub(1);
+            if text_len != joined && text_len != joined + 1 {
+                return Err(format!(
+                    "snapshot {i} records {text_len} bytes but its lines join to {joined}"
+                ));
+            }
         }
         self.tip = cur;
+        Ok(())
     }
 
     fn stored_ids(&self) -> usize {
@@ -413,10 +460,20 @@ impl Deserialize for DeviceHistory {
             tip: Vec::new(),
         };
         let deltas: Vec<LineDelta> = field(obj, "deltas", "DeviceHistory")?;
+        let n = hist.metas.len();
+        if n == 0 || hist.text_lens.len() != n || deltas.len() + 1 != n {
+            return Err(SerdeError::custom(format!(
+                "DeviceHistory: {n} metas, {} text_lens and {} deltas \
+                 (need n >= 1 metas and text_lens, n - 1 deltas)",
+                hist.text_lens.len(),
+                deltas.len()
+            )));
+        }
         for d in &deltas {
             hist.push_delta(d);
         }
-        hist.rebuild_tip();
+        // `tip` is rebuilt (and the history checked) by the archive, which
+        // owns the line table the ids refer to.
         Ok(hist)
     }
 }
@@ -444,129 +501,15 @@ fn materialize(table: &LineTable, lines: &[LineId], text_len: usize) -> String {
     out
 }
 
-/// Reusable scratch for [`SnapshotArchive::device_distinct_texts`]: one
-/// device's **distinct** snapshot texts packed back-to-back into a single
-/// arena, plus the canonical (distinct-slot) index of every snapshot.
-///
-/// Duplicate snapshot states — a device reverting to an exact earlier
-/// configuration — are detected *before* any text is rendered, by comparing
-/// the delta-replayed interned line-id sequences together with the recorded
-/// byte length (within one archive, `(line ids, byte length)` identifies a
-/// snapshot's text exactly: interning is canonical, and the byte length
-/// disambiguates the trailing newline). Only distinct states are
-/// materialized, into the shared arena, so a full device walk costs one
-/// `String` total instead of one per snapshot — the allocation churn that
-/// used to serialize the parallel inference phase on the allocator.
-///
-/// Reuse the buffer across devices (`device_distinct_texts` clears it but
-/// keeps capacity); slices returned by [`Self::text`] borrow the arena and
-/// stay valid until the next fill.
-#[derive(Debug, Default)]
-pub struct ReplayBuffer {
-    /// Arena holding the distinct snapshot texts, concatenated.
-    text: String,
-    /// Byte range of each distinct slot within `text`.
-    spans: Vec<(usize, usize)>,
-    /// `canon[ix]` = distinct slot carrying snapshot `ix`'s text.
-    canon: Vec<usize>,
-    /// Arena of the distinct slots' line-id sequences (the dedup key).
-    ids: Vec<LineId>,
-    /// Per-slot `(ids_start, ids_end, text_len)`.
-    id_spans: Vec<(usize, usize, usize)>,
-    /// Sequence-hash → candidate slots. Lookup-only (collisions resolved by
-    /// comparing the stored sequences), so determinism is unaffected.
-    index: HashMap<u64, Vec<usize>>,
-    /// Replay cursor (the current line-id state), reused across devices.
-    cur: Vec<LineId>,
-}
-
-impl ReplayBuffer {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshots replayed by the last fill.
-    pub fn n_snapshots(&self) -> usize {
-        self.canon.len()
-    }
-
-    /// Distinct snapshot states materialized by the last fill.
-    pub fn n_distinct(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Canonical distinct-slot index per snapshot, oldest first (parallel
-    /// to [`SnapshotArchive::device_metas`]).
-    pub fn canon(&self) -> &[usize] {
-        &self.canon
-    }
-
-    /// The materialized text of a distinct slot.
-    pub fn text(&self, slot: usize) -> &str {
-        let (start, end) = self.spans[slot];
-        &self.text[start..end]
-    }
-
-    /// The text of snapshot `ix` (convenience over `text(canon[ix])`).
-    pub fn snapshot_text(&self, ix: usize) -> &str {
-        self.text(self.canon[ix])
-    }
-
-    fn clear(&mut self) {
-        self.text.clear();
-        self.spans.clear();
-        self.canon.clear();
-        self.ids.clear();
-        self.id_spans.clear();
-        self.index.clear();
-    }
-
-    /// Cap the retained arena capacity at roughly `max_bytes`.
-    ///
-    /// A reused buffer grows to the largest fill it ever served and keeps
-    /// that high-water capacity until dropped — one outlier device pins its
-    /// arena for the rest of the worker's region. Callers that hold a buffer
-    /// across many fills invoke this between fills: it is a no-op while the
-    /// arena is within the cap, and shrinks (discarding the current
-    /// contents) only past it. Slices from [`Self::text`] are invalidated.
-    pub fn reclaim(&mut self, max_bytes: usize) {
-        if self.text.capacity() > max_bytes {
-            self.clear();
-            self.text.shrink_to(max_bytes);
-            self.ids.shrink_to(max_bytes / std::mem::size_of::<LineId>());
-            self.cur.shrink_to(max_bytes / std::mem::size_of::<LineId>());
-            self.spans.shrink_to_fit();
-            self.id_spans.shrink_to_fit();
-            self.canon.shrink_to_fit();
-        }
-    }
-
-    fn seq_hash(ids: &[LineId], text_len: usize) -> u64 {
-        let mut h = DefaultHasher::new();
-        ids.hash(&mut h);
-        text_len.hash(&mut h);
-        h.finish()
-    }
-
-    /// The slot already carrying `(ids, text_len)`, if any.
-    fn find(&self, hash: u64, ids: &[LineId], text_len: usize) -> Option<usize> {
-        let candidates = self.index.get(&hash)?;
-        candidates.iter().copied().find(|&slot| {
-            let (start, end, len) = self.id_spans[slot];
-            len == text_len && self.ids[start..end] == *ids
-        })
-    }
-}
-
 /// Per-device, chronologically ordered snapshot store, delta-encoded.
 ///
 /// Drop-in successor of the seed's full-text `Archive`: same `push` /
 /// `devices` / `n_snapshots` / `total_bytes` / `latest_at` surface (with
 /// materializing accessors returning owned [`Snapshot`]s), plus the
-/// compressed-representation accessors ([`Self::text_bytes`]) and the
-/// zero-copy replay path ([`Self::device_texts`]) the inference pipeline
-/// uses.
+/// compressed-representation accessors ([`Self::text_bytes`]). Inference
+/// walks histories at the delta level through [`Self::delta_cursor`];
+/// [`Self::device_texts`] materializes every snapshot for the naive
+/// reference path and the tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotArchive {
     table: LineTable,
@@ -651,67 +594,6 @@ impl SnapshotArchive {
             out.push(materialize(&self.table, &cur, len));
         }
         out
-    }
-
-    /// Replay a device's history, dedup snapshot states on the interned
-    /// line-id sequences, and materialize **only the distinct states** into
-    /// `buf`'s shared arena (cleared first, capacity kept).
-    ///
-    /// This is the inference hot path: where [`Self::device_texts`] returns
-    /// one freshly allocated `String` per snapshot and leaves duplicate
-    /// detection (hashing full text) to the caller, this path compares
-    /// 4-byte-per-line id sequences and renders each distinct text once.
-    /// `buf.canon()` maps every snapshot to its distinct slot, in
-    /// first-appearance order — byte-for-byte the same canonicalization a
-    /// full-text dedup would produce (property-tested).
-    pub fn device_distinct_texts(&self, dev: DeviceId, buf: &mut ReplayBuffer) {
-        buf.clear();
-        let Some(hist) = self.by_device.get(&dev) else {
-            return;
-        };
-        let mut cur = std::mem::take(&mut buf.cur);
-        cur.clear();
-        cur.extend_from_slice(&hist.base);
-        for (i, &text_len) in hist.text_lens.iter().enumerate() {
-            if i > 0 {
-                hist.delta(i - 1).apply(&mut cur);
-            }
-            let hash = ReplayBuffer::seq_hash(&cur, text_len);
-            let slot = match buf.find(hash, &cur, text_len) {
-                Some(slot) => slot,
-                None => {
-                    let slot = buf.spans.len();
-                    let ids_start = buf.ids.len();
-                    buf.ids.extend_from_slice(&cur);
-                    buf.id_spans.push((ids_start, buf.ids.len(), text_len));
-                    buf.index.entry(hash).or_default().push(slot);
-                    // Render straight into the arena (the inlined body of
-                    // `materialize`, minus the temporary String).
-                    let start = buf.text.len();
-                    for (k, &id) in cur.iter().enumerate() {
-                        if k > 0 {
-                            buf.text.push('\n');
-                        }
-                        buf.text.push_str(self.table.get(id));
-                    }
-                    if buf.text.len() - start + 1 == text_len {
-                        buf.text.push('\n');
-                    }
-                    debug_assert_eq!(
-                        buf.text.len() - start,
-                        text_len,
-                        "reconstruction length mismatch"
-                    );
-                    buf.spans.push((start, buf.text.len()));
-                    slot
-                }
-            };
-            buf.canon.push(slot);
-        }
-        buf.cur = cur;
-        // Batched: one add per device keeps the replay loop free of atomics.
-        mpa_obs::counters::ARCHIVE_SNAPSHOTS_MATERIALIZED.add(buf.spans.len() as u64);
-        mpa_obs::counters::ARCHIVE_BYTES_MATERIALIZED.add(buf.text.len() as u64);
     }
 
     /// Walk a device's history at the **delta level**, without materializing
@@ -923,10 +805,14 @@ impl Serialize for SnapshotArchive {
 impl Deserialize for SnapshotArchive {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         let obj = expect_object(v, "SnapshotArchive")?;
-        Ok(Self {
-            table: field(obj, "table", "SnapshotArchive")?,
-            by_device: field(obj, "by_device", "SnapshotArchive")?,
-        })
+        let table: LineTable = field(obj, "table", "SnapshotArchive")?;
+        let mut by_device: BTreeMap<DeviceId, DeviceHistory> =
+            field(obj, "by_device", "SnapshotArchive")?;
+        for (dev, hist) in &mut by_device {
+            hist.rebuild_tip(*dev, &table)
+                .map_err(|e| SerdeError::custom(format!("SnapshotArchive: device {dev}: {e}")))?;
+        }
+        Ok(Self { table, by_device })
     }
 }
 
@@ -1053,13 +939,9 @@ impl ArchiveBuilder {
         let mut by_device = BTreeMap::new();
         for (dev, mut pending) in self.pending {
             pending.sort_by_key(|p| p.time);
-            pending.dedup_by(|b, a| {
-                // mpa-lint: allow(R7) -- pending ranges were carved out of `ids` by the loader above
-                a.text_len == b.text_len && ids[a.range()] == ids[b.range()]
-            });
+            pending.dedup_by(|b, a| a.text_len == b.text_len && ids[a.range()] == ids[b.range()]);
             let mut hist = DeviceHistory::default();
             for (i, snap) in pending.into_iter().enumerate() {
-                // mpa-lint: allow(R7) -- pending ranges were carved out of `ids` by the loader above
                 let lines = &ids[snap.range()];
                 if i == 0 {
                     hist.base.extend_from_slice(lines);
@@ -1412,6 +1294,118 @@ mod tests {
         let mut back = back;
         back.push(snap(1, 12, "x", "hostname h\n!\n")).unwrap();
         assert_eq!(back.device_texts(DeviceId(1)).last().unwrap(), "hostname h\n!\n");
+    }
+
+    /// Serialize a three-snapshot, one-device archive, let `edit` corrupt
+    /// the device's serialized history, and deserialize the result.
+    fn load_corrupted(
+        edit: impl FnOnce(&mut [(String, Value)]),
+    ) -> Result<SnapshotArchive, SerdeError> {
+        let mut a = SnapshotArchive::new();
+        a.push(snap(1, 0, "x", "hostname h\n!\n")).unwrap();
+        a.push(snap(1, 5, "x", "hostname h\n!\nvlan 10\n!\n")).unwrap();
+        a.push(snap(1, 9, "x", "hostname h\n!\nvlan 20\n!\n")).unwrap();
+        let mut v = a.to_value();
+        let Value::Object(root) = &mut v else { panic!("archive is an object") };
+        let Value::Array(devices) = &mut root[1].1 else { panic!("by_device is an array") };
+        let Value::Array(pair) = &mut devices[0] else { panic!("entry is a pair") };
+        let Value::Object(hist) = &mut pair[1] else { panic!("history is an object") };
+        edit(hist);
+        SnapshotArchive::from_value(&v)
+    }
+
+    /// The named field of a serialized object.
+    fn member<'v>(obj: &'v mut [(String, Value)], key: &str) -> &'v mut Value {
+        &mut obj.iter_mut().find(|(k, _)| k == key).expect("field present").1
+    }
+
+    /// The `i`-th element of a serialized array.
+    fn elem(v: &mut Value, i: usize) -> &mut Value {
+        let Value::Array(items) = v else { panic!("expected an array") };
+        &mut items[i]
+    }
+
+    /// The named field of the `i`-th serialized delta.
+    fn delta_field<'v>(hist: &'v mut [(String, Value)], i: usize, key: &str) -> &'v mut Value {
+        let Value::Object(d) = elem(member(hist, "deltas"), i) else { panic!("delta object") };
+        member(d, key)
+    }
+
+    fn assert_rejected(r: Result<SnapshotArchive, SerdeError>, needle: &str) {
+        let err = r.expect_err("corrupt archive must not load").to_string();
+        assert!(err.contains("device dev-1") && err.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_line_ids_outside_the_table() {
+        assert_rejected(
+            load_corrupted(|h| *elem(member(h, "base"), 0) = 100_000_000u32.to_value()),
+            "outside the 4-line table",
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_delta_past_the_end_of_the_sequence() {
+        assert_rejected(
+            load_corrupted(|h| *delta_field(h, 0, "at") = 1_000_000u32.to_value()),
+            "delta 0 removes 0 line(s) at line 1000000",
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_delta_whose_removed_hunk_differs_from_the_sequence() {
+        // Delta 1 replaces `vlan 10` (id 2); claim it removed `hostname h`.
+        assert_rejected(
+            load_corrupted(|h| *elem(delta_field(h, 1, "removed"), 0) = 0u32.to_value()),
+            "delta 1 removes 1 line(s) at line 2",
+        );
+    }
+
+    #[test]
+    fn load_rejects_mismatched_history_lengths() {
+        let r = load_corrupted(|h| {
+            let Value::Array(lens) = member(h, "text_lens") else { panic!("array") };
+            lens.truncate(1);
+        });
+        let err = r.expect_err("truncated text_lens must not load").to_string();
+        assert!(err.contains("3 metas, 1 text_lens and 2 deltas"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_misfiled_and_out_of_order_snapshots() {
+        assert_rejected(
+            load_corrupted(|h| {
+                let Value::Object(m) = elem(member(h, "metas"), 1) else { panic!("meta object") };
+                *member(m, "device") = DeviceId(7).to_value();
+            }),
+            "holds a snapshot of dev-7",
+        );
+        assert_rejected(
+            load_corrupted(|h| {
+                let Value::Object(m) = elem(member(h, "metas"), 2) else { panic!("meta object") };
+                *member(m, "time") = Timestamp(1).to_value();
+            }),
+            "times go backwards",
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_table_line_holding_a_newline() {
+        let mut a = SnapshotArchive::new();
+        a.push(snap(1, 0, "x", "hostname h\n!\n")).unwrap();
+        let mut v = a.to_value();
+        let Value::Object(root) = &mut v else { panic!("archive is an object") };
+        *elem(&mut root[0].1, 1) = "!\n description injected".to_string().to_value();
+        let err = SnapshotArchive::from_value(&v).expect_err("must not load").to_string();
+        assert!(err.contains("line 1 contains a newline"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_a_text_length_its_lines_cannot_have() {
+        assert_rejected(
+            load_corrupted(|h| *elem(member(h, "text_lens"), 2) = 1_000_000_000_000u64.to_value()),
+            "snapshot 2 records",
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Delta-native incremental inference over the snapshot archive.
 //!
-//! The full-parse pipeline materializes every distinct snapshot (~GBs of
+//! A full-parse pipeline materializes every snapshot (~GBs of
 //! text at paper scale), re-parses each one and diffs adjacent parses —
 //! even though the archive already stores each history as base + line
 //! deltas and successive snapshots differ in a handful of lines. This
@@ -38,7 +38,8 @@
 //!
 //! Equivalence with the full path is enforced by property tests
 //! (arbitrary histories, both dialects, reverts, trailing-newline edge
-//! cases) and by the pipeline-level oracle gate (`--infer-mode full`).
+//! cases) and by the pipeline-level equivalence suites, which compare
+//! against the naive reference (`InferMode::Full` in `mpa-metrics`).
 
 use crate::archive::{LineId, SnapshotArchive};
 use crate::diff::{ChangeAction, StanzaChange};
@@ -254,7 +255,7 @@ impl DeviceReplay {
     }
 
     /// Distinct snapshot states (dedup on `(line ids, byte length)`,
-    /// identical to the materializing path's canonicalization).
+    /// identical to full-text dedup — property-tested).
     pub fn n_distinct(&self) -> usize {
         self.slots.len()
     }

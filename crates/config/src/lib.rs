@@ -36,7 +36,7 @@
 //! * [`chunk`] — stable chunk decomposition of rendered documents: one key
 //!   per stanza/wrapper, ordered like the document, with dirty-marking
 //!   helpers. This is the substrate of delta-native *generation*
-//!   (`--gen-mode delta`): the simulator re-renders only dirty chunks.
+//!   (`GenMode::Delta`): the simulator re-renders only dirty chunks.
 //! * [`incremental`] — delta-native inference: an incremental stanza index
 //!   over the archive's line-id deltas that derives `diff_configs`-
 //!   equivalent change records while re-parsing only changed segments.
@@ -60,8 +60,7 @@ pub mod snapshot;
 pub mod typemap;
 
 pub use archive::{
-    ArchiveBuilder, DeltaCursor, DeltaRef, LineDelta, LineId, RenderCache, ReplayBuffer,
-    SnapshotArchive,
+    ArchiveBuilder, DeltaCursor, DeltaRef, LineDelta, LineId, RenderCache, SnapshotArchive,
 };
 /// Compatibility alias: the archive is the delta-encoded store.
 pub use archive::SnapshotArchive as Archive;

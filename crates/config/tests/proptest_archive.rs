@@ -1,11 +1,12 @@
 //! Property-based tests for the delta-encoded archive and the naming
 //! helpers: delta apply/revert must be exact inverses on arbitrary line
 //! sequences, arbitrary snapshot sequences must reconstruct bit-for-bit,
-//! and interface names must round-trip through both dialects' renderers.
+//! the delta engine's state dedup must equal full-text dedup, and
+//! interface names must round-trip through both dialects' renderers.
 
 use mpa_config::render::{interface_name, parse_interface_name};
 use mpa_config::snapshot::{Login, Snapshot, SnapshotMeta};
-use mpa_config::{LineDelta, LineId, ReplayBuffer, SnapshotArchive};
+use mpa_config::{DeltaInference, LineClasses, LineDelta, LineId, SnapshotArchive};
 use mpa_model::device::Dialect;
 use mpa_model::{DeviceId, Timestamp};
 use proptest::prelude::*;
@@ -78,14 +79,15 @@ proptest! {
     }
 
     #[test]
-    fn distinct_replay_agrees_with_full_text_dedup(
+    fn delta_engine_state_dedup_agrees_with_full_text_dedup(
         texts in proptest::collection::vec(arb_text(), 1..10),
         reverts in proptest::collection::vec(0usize..10, 0..8),
     ) {
         // History = arbitrary texts followed by arbitrary reverts to
         // earlier states (the regime where dedup actually fires); the
         // small alphabet in `arb_text` also makes two independently drawn
-        // texts collide often.
+        // texts collide often. This dedup alone backs the
+        // `parse_cache_hits`/`parse_cache_misses` counters.
         let mut history: Vec<String> = texts.clone();
         history.extend(reverts.iter().map(|&r| texts[r % texts.len()].clone()));
         let mut archive = SnapshotArchive::new();
@@ -103,47 +105,24 @@ proptest! {
         // Reference canonicalization: full-text first-seen dedup over the
         // materializing replay path.
         let full = archive.device_texts(DeviceId(1));
-        let mut first: HashMap<&str, usize> = HashMap::new();
-        let mut canon_ref: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::new(); // slot -> first snapshot ix
-        for (ix, t) in full.iter().enumerate() {
-            let slot = *first.entry(t.as_str()).or_insert_with(|| {
-                slot_of.push(ix);
-                slot_of.len() - 1
-            });
-            canon_ref.push(slot);
+        let mut first: HashMap<&str, u32> = HashMap::new();
+        let mut canon_ref: Vec<u32> = Vec::new();
+        for t in &full {
+            let next = first.len() as u32;
+            canon_ref.push(*first.entry(t.as_str()).or_insert(next));
         }
 
-        let mut buf = ReplayBuffer::new();
-        archive.device_distinct_texts(DeviceId(1), &mut buf);
-        prop_assert_eq!(buf.n_snapshots(), full.len());
-        prop_assert_eq!(buf.canon(), &canon_ref[..], "line-id dedup must equal text dedup");
-        prop_assert_eq!(buf.n_distinct(), slot_of.len());
-        for (slot, &ix) in slot_of.iter().enumerate() {
-            prop_assert_eq!(buf.text(slot), full[ix].as_str());
+        let classes = LineClasses::new(&archive);
+        for dialect in [Dialect::BlockKeyword, Dialect::BraceHierarchy] {
+            let mut engine = DeltaInference::new(&archive, &classes);
+            let replay = engine.replay_device(DeviceId(1), dialect).unwrap();
+            prop_assert_eq!(replay.n_snapshots(), full.len());
+            let canon: Vec<u32> = (0..full.len()).map(|ix| replay.slot(ix)).collect();
+            prop_assert_eq!(&canon, &canon_ref, "line-id dedup must equal text dedup");
+            prop_assert_eq!(replay.n_distinct(), first.len());
+            // A device absent from the archive yields no replay.
+            prop_assert!(engine.replay_device(DeviceId(9), dialect).is_none());
         }
-        for (ix, text) in full.iter().enumerate() {
-            prop_assert_eq!(buf.snapshot_text(ix), text.as_str());
-        }
-
-        // Buffer reuse across devices must not leak state: fill for a
-        // second device and check again.
-        let mut archive2 = SnapshotArchive::new();
-        archive2.push(Snapshot {
-            meta: SnapshotMeta {
-                device: DeviceId(2),
-                time: Timestamp(0),
-                login: Login::new("p"),
-            },
-            text: "unrelated\n".to_string(),
-        }).unwrap();
-        archive2.device_distinct_texts(DeviceId(2), &mut buf);
-        prop_assert_eq!(buf.n_snapshots(), 1);
-        prop_assert_eq!(buf.text(0), "unrelated\n");
-        // And a device absent from the archive yields an empty fill.
-        archive2.device_distinct_texts(DeviceId(9), &mut buf);
-        prop_assert_eq!(buf.n_snapshots(), 0);
-        prop_assert_eq!(buf.n_distinct(), 0);
     }
 
     #[test]

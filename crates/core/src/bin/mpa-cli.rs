@@ -21,8 +21,8 @@ use mpa_core::predict::{
     class_distribution, cross_validation, online_accuracy, render_tree, HealthClasses, ModelKind,
 };
 use mpa_core::{analyze_treatment, cmi_ranking, mi_ranking, CausalConfig, TextTable};
-use mpa_metrics::{CaseTable, InferMode, Metric};
-use mpa_synth::{CoverageReport, Dataset, DegradeSpec, GenMode, Scenario};
+use mpa_metrics::{CaseTable, Metric};
+use mpa_synth::{CoverageReport, Dataset, DegradeSpec, Scenario};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,10 +68,8 @@ fn usage_and_exit() -> ! {
         "mpa-cli — Management Plane Analytics\n\n\
          usage:\n\
            mpa-cli generate --scale tiny|small|medium|paper [--seed N]\n\
-                            [--degrade none|light|heavy|key=rate,...]\n\
-                            [--gen-mode delta|full] --out dataset.json\n\
-           mpa-cli infer    --dataset dataset.json [--delta MIN]\n\
-                            [--infer-mode delta|full] --out table.json\n\
+                            [--degrade none|light|heavy|key=rate,...] --out dataset.json\n\
+           mpa-cli infer    --dataset dataset.json [--delta MIN] --out table.json\n\
            mpa-cli analyze  --table table.json [--causal-top N]\n\
            mpa-cli predict  --table table.json [--classes 2|5]\n\
            mpa-cli report   --table table.json\n\n\
@@ -93,8 +91,6 @@ struct Opts {
     dataset: Option<String>,
     table: Option<String>,
     delta: Option<u64>,
-    infer_mode: Option<InferMode>,
-    gen_mode: Option<GenMode>,
     causal_top: Option<usize>,
     classes: Option<u8>,
     threads: Option<usize>,
@@ -145,28 +141,6 @@ impl Opts {
                 "--dataset" => o.dataset = Some(value()),
                 "--table" => o.table = Some(value()),
                 "--delta" => o.delta = Some(parse_num("--delta", &value())),
-                "--infer-mode" => {
-                    let raw = value();
-                    o.infer_mode = Some(InferMode::parse(&raw).unwrap_or_else(|| {
-                        eprintln!("--infer-mode must be \"delta\" or \"full\", got {raw:?}");
-                        std::process::exit(2);
-                    }));
-                }
-                "--gen-mode" => {
-                    // Like --degrade, a generation-time knob: accepting it
-                    // elsewhere would silently do nothing.
-                    if command != "generate" {
-                        eprintln!(
-                            "--gen-mode only applies to the generate command (not {command:?})"
-                        );
-                        std::process::exit(2);
-                    }
-                    let raw = value();
-                    o.gen_mode = Some(GenMode::parse(&raw).unwrap_or_else(|| {
-                        eprintln!("--gen-mode must be \"delta\" or \"full\", got {raw:?}");
-                        std::process::exit(2);
-                    }));
-                }
                 "--causal-top" => o.causal_top = Some(parse_num("--causal-top", &value())),
                 "--classes" => {
                     let n: u8 = parse_num("--classes", &value());
@@ -220,9 +194,7 @@ fn generate(opts: &Opts) {
     if let Some(degrade) = opts.degrade {
         scenario = scenario.with_degrade(degrade);
     }
-    let gen_mode = opts.gen_mode.unwrap_or_default();
-    let dataset =
-        mpa_core::exec::timed_phase("generate", || scenario.generate_with_mode(gen_mode));
+    let dataset = mpa_core::exec::timed_phase("generate", || scenario.generate());
     let summary = dataset.summary();
     eprintln!(
         "generated {} networks / {} devices / {} snapshots / {} tickets",
@@ -273,10 +245,7 @@ fn infer(opts: &Opts) {
     });
     dataset.inventory.rebuild_index(); // skipped field; see Inventory docs
     let delta = opts.delta.unwrap_or(mpa_metrics::DELTA_DEFAULT_MINUTES);
-    let mode = opts.infer_mode.unwrap_or_default();
-    let table = mpa_core::exec::timed_phase("infer", || {
-        mpa_metrics::infer_with_mode(&dataset, delta, mode).table
-    });
+    let table = mpa_core::exec::timed_phase("infer", || mpa_metrics::infer(&dataset, delta).table);
     eprintln!("inferred {} cases", table.n_cases());
     let out = opts.out.as_deref().unwrap_or("table.json");
     std::fs::write(out, serde_json::to_string(&table).expect("table serializes"))

@@ -151,7 +151,6 @@ fn invalid_flag_values_are_rejected_with_exit_2() {
     let cases: &[(&[&str], &str)] = &[
         (&["generate", "--scale", "tiny", "--seed", "abc"], "--seed"),
         (&["infer", "--delta", "ten"], "--delta"),
-        (&["infer", "--infer-mode", "turbo"], "--infer-mode"),
         (&["analyze", "--causal-top", "-1"], "--causal-top"),
         (&["report", "--threads", "1.5"], "--threads"),
         (&["predict", "--classes", "two"], "--classes"),
@@ -171,12 +170,10 @@ fn invalid_flag_values_are_rejected_with_exit_2() {
         (&["predict", "--degrade", "heavy"], "--degrade"),
         (&["report", "--degrade", "none"], "--degrade"),
         (&["infer", "--degrade", "light"], "generate"),
-        // Same contract for --gen-mode: bad value, and a generation-time
-        // knob appearing on a non-generate command.
-        (&["generate", "--scale", "tiny", "--gen-mode", "turbo"], "--gen-mode"),
-        (&["infer", "--gen-mode", "delta"], "--gen-mode"),
-        (&["infer", "--gen-mode", "delta"], "generate"),
-        (&["analyze", "--gen-mode", "full"], "--gen-mode"),
+        // Engine choice is not a product option: these are unknown flags,
+        // rejected rather than silently ignored.
+        (&["infer", "--infer-mode", "delta"], "--infer-mode"),
+        (&["generate", "--gen-mode", "delta"], "--gen-mode"),
     ];
     for (args, needle) in cases {
         let out = cli().args(*args).output().expect("run cli");
@@ -239,6 +236,7 @@ fn obs_report_is_well_formed_and_cache_counters_balance() {
     let misses = as_u64(get(counters, "parse_cache_misses"));
     assert!(visited > 0, "infer visited no snapshots");
     assert_eq!(hits + misses, visited, "cache accounting leak: {hits} + {misses} != {visited}");
+    assert!(as_u64(get(counters, "infer_stanzas_reparsed")) > 0, "no reparsed stanzas counted");
     let mut labels = Vec::new();
     span_labels(get(&report, "spans"), &mut labels);
     assert!(labels.iter().any(|l| l == "infer"), "spans {labels:?} lack \"infer\"");
@@ -271,129 +269,96 @@ fn obs_report_is_well_formed_and_cache_counters_balance() {
 }
 
 #[test]
-fn infer_modes_agree_and_both_balance_the_parse_cache() {
-    let dataset = tmp("modes-dataset.json");
+fn generate_balances_the_render_cache() {
+    // Every chunk render is a render-cache hit or a miss, never
+    // unaccounted, and the generator's work counters all tick.
+    let dataset = tmp("gen-acct-dataset.json");
+    let obs = tmp("gen-acct-run.json");
+    let out = cli()
+        .args([
+            "generate",
+            "--scale",
+            "tiny",
+            "--out",
+            dataset.to_str().unwrap(),
+            "--obs-out",
+            obs.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let report = read_report(&obs);
+    let counters = get(&report, "counters");
+    let rendered = as_u64(get(counters, "gen_chunks_rendered"));
+    let hits = as_u64(get(counters, "gen_render_cache_hits"));
+    let misses = as_u64(get(counters, "gen_render_cache_misses"));
+    assert_eq!(hits + misses, rendered, "render-cache leak: {hits} + {misses} != {rendered}");
+    assert!(misses > 0, "novel chunk text must miss the cache");
+    assert!(hits > 0, "repeated chunk text must hit the cache");
+    for name in ["gen_splice_ops", "gen_lines_rendered", "gen_bytes_rendered"] {
+        assert!(as_u64(get(counters, name)) > 0, "{name} must tick");
+    }
+}
+
+#[test]
+fn corrupt_dataset_archives_exit_1_without_panicking() {
+    // Three corruptions of a valid dataset's first device history: a line
+    // id past the line table, a delta offset past the sequence, and a
+    // text_lens array that no longer covers every snapshot. Each used to
+    // panic during load or replay; each must now be a clean load error.
+    let dataset = tmp("corrupt-src-dataset.json");
     let out = cli()
         .args(["generate", "--scale", "tiny", "--out", dataset.to_str().unwrap()])
         .output()
         .expect("run generate");
     assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+    let pristine: Value =
+        serde_json::from_str(&std::fs::read_to_string(&dataset).expect("read dataset"))
+            .expect("dataset is JSON");
 
-    let mut tables: Vec<String> = Vec::new();
-    for mode in ["full", "delta"] {
-        let table = tmp(&format!("modes-table-{mode}.json"));
-        let obs = tmp(&format!("modes-run-{mode}.json"));
+    type Mutation = fn(&mut [(String, Value)]);
+    let mutations: [(&str, Mutation); 3] = [
+        ("base-id", |h| *first(field_mut(h, "base")) = Value::Num(serde::Number::U64(100_000_000))),
+        ("delta-at", |h| {
+            let Value::Object(d) = first(field_mut(h, "deltas")) else { panic!("delta object") };
+            *field_mut(d, "at") = Value::Num(serde::Number::U64(1_000_000));
+        }),
+        ("text-lens", |h| {
+            let Value::Array(lens) = field_mut(h, "text_lens") else { panic!("array") };
+            lens.truncate(1);
+        }),
+    ];
+    for (tag, mutate) in mutations {
+        let mut v = pristine.clone();
+        let Value::Object(ds) = &mut v else { panic!("dataset object") };
+        let Value::Object(archive) = field_mut(ds, "archive") else { panic!("archive object") };
+        let Value::Array(pair) = first(field_mut(archive, "by_device")) else { panic!("pair") };
+        let Value::Object(hist) = &mut pair[1] else { panic!("history object") };
+        mutate(hist);
+        let corrupt = tmp(&format!("corrupt-{tag}.json"));
+        std::fs::write(&corrupt, serde_json::to_string(&v).expect("serializes")).expect("write");
         let out = cli()
-            .args([
-                "infer",
-                "--dataset",
-                dataset.to_str().unwrap(),
-                "--infer-mode",
-                mode,
-                "--out",
-                table.to_str().unwrap(),
-                "--obs-out",
-                obs.to_str().unwrap(),
-            ])
+            .args(["infer", "--dataset", corrupt.to_str().unwrap(), "--out"])
+            .arg(tmp(&format!("corrupt-{tag}-table.json")))
             .output()
             .expect("run infer");
-        assert!(
-            out.status.success(),
-            "infer --infer-mode {mode} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        tables.push(std::fs::read_to_string(&table).expect("read table"));
-
-        // The cache invariant holds in *both* engines: every visited
-        // snapshot is accounted as a hit or a miss, whichever path
-        // analyzed it.
-        let report = read_report(&obs);
-        let counters = get(&report, "counters");
-        let visited = as_u64(get(counters, "parse_snapshots_visited"));
-        let hits = as_u64(get(counters, "parse_cache_hits"));
-        let misses = as_u64(get(counters, "parse_cache_misses"));
-        assert!(visited > 0, "{mode} mode visited no snapshots");
-        assert_eq!(
-            hits + misses,
-            visited,
-            "{mode} mode cache accounting leak: {hits} + {misses} != {visited}"
-        );
-        let full_parses = as_u64(get(counters, "infer_full_parses"));
-        let reparsed = as_u64(get(counters, "infer_stanzas_reparsed"));
-        match mode {
-            "full" => assert!(full_parses > 0, "full mode must count its full parses"),
-            _ => {
-                assert_eq!(full_parses, 0, "delta mode must never full-parse");
-                assert!(reparsed > 0, "delta mode must count reparsed stanzas");
-            }
-        }
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: corrupt archive must exit 1: {err}");
+        assert!(!err.contains("panicked"), "{tag}: infer panicked: {err}");
+        assert!(err.contains("is not a dataset JSON"), "{tag}: stderr {err:?}");
     }
-    assert_eq!(tables[0], tables[1], "case tables must be byte-identical across modes");
 }
 
-#[test]
-fn gen_modes_agree_and_both_balance_the_render_cache() {
-    // The delta-native generator and the full-render oracle must emit
-    // byte-identical datasets, and the render-cache accounting must
-    // balance in both engines: every chunk render is a cache hit or a
-    // cache miss, never unaccounted.
-    let mut datasets: Vec<String> = Vec::new();
-    for mode in ["full", "delta"] {
-        let dataset = tmp(&format!("gen-mode-dataset-{mode}.json"));
-        let obs = tmp(&format!("gen-mode-run-{mode}.json"));
-        let out = cli()
-            .args([
-                "generate",
-                "--scale",
-                "tiny",
-                "--gen-mode",
-                mode,
-                "--out",
-                dataset.to_str().unwrap(),
-                "--obs-out",
-                obs.to_str().unwrap(),
-            ])
-            .output()
-            .expect("run generate");
-        assert!(
-            out.status.success(),
-            "generate --gen-mode {mode} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        datasets.push(std::fs::read_to_string(&dataset).expect("read dataset"));
+/// The named field of a JSON object, mutably.
+fn field_mut<'v>(obj: &'v mut [(String, Value)], key: &str) -> &'v mut Value {
+    &mut obj.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("missing {key:?}")).1
+}
 
-        let report = read_report(&obs);
-        let counters = get(&report, "counters");
-        let rendered = as_u64(get(counters, "gen_chunks_rendered"));
-        let hits = as_u64(get(counters, "gen_render_cache_hits"));
-        let misses = as_u64(get(counters, "gen_render_cache_misses"));
-        assert_eq!(
-            hits + misses,
-            rendered,
-            "{mode} mode render-cache accounting leak: {hits} + {misses} != {rendered}"
-        );
-        let splices = as_u64(get(counters, "gen_splice_ops"));
-        let lines = as_u64(get(counters, "gen_lines_rendered"));
-        let bytes = as_u64(get(counters, "gen_bytes_rendered"));
-        match mode {
-            "delta" => {
-                assert!(rendered > 0, "delta mode renders through the chunk cache");
-                assert!(misses > 0, "novel chunk text must miss the cache");
-                assert!(hits > 0, "repeated chunk text must hit the cache");
-                assert!(splices > 0 && lines > 0 && bytes > 0, "delta work counters must tick");
-            }
-            _ => {
-                // The oracle renders whole documents: no chunk cache, no
-                // splices — every gen_* counter stays untouched.
-                for (name, v) in
-                    [("rendered", rendered), ("splices", splices), ("lines", lines)]
-                {
-                    assert_eq!(v, 0, "full mode must not tick gen_{name}");
-                }
-            }
-        }
-    }
-    assert_eq!(datasets[0], datasets[1], "datasets must be byte-identical across gen modes");
+/// The first element of a JSON array, mutably.
+fn first(v: &mut Value) -> &mut Value {
+    let Value::Array(items) = v else { panic!("expected array, found {}", v.kind()) };
+    items.first_mut().expect("non-empty array")
 }
 
 #[test]

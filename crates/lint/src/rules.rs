@@ -51,8 +51,8 @@ pub enum Rule {
     /// per-snapshot replay/render loops. Reachability, not path, decides.
     R7,
     /// Allocation-in-hot-path: `to_string`/`format!`/`Vec::new`/`clone()`
-    /// in a function reachable from the `DeltaCursor`/`RenderCache`/
-    /// `ReplayBuffer` inner loops the delta-native PRs de-allocated.
+    /// in a function reachable from the `DeltaCursor`/`RenderCache` inner
+    /// loops of delta-native generation and inference.
     R8,
     /// Lock-discipline in `crates/serve`: a `Mutex`/`RwLock` guard
     /// lexically held across an I/O call or across a second lock

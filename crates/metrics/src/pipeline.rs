@@ -11,12 +11,12 @@
 //! 3. **events** — change records chained with the δ heuristic (O4);
 //! 4. **health** — incident tickets per month, planned maintenance excluded.
 //!
-//! Two interchangeable engines produce the change records and facts
-//! ([`InferMode`]): the **delta-native** default replays the archive's
-//! line-id deltas through [`DeltaInference`], re-parsing only segments
-//! whose line span changed; the **full** oracle materializes every
-//! distinct text and runs the whole parser on each. Their outputs are
-//! byte-identical (golden- and property-tested) — the delta path just
+//! The product engine replays the archive's line-id deltas through
+//! [`DeltaInference`], re-parsing only segments whose line span changed.
+//! [`InferMode::Full`] keeps the naive path as a library-level reference
+//! for the equivalence tests: materialize every snapshot, parse each one,
+//! and diff successive parses ([`replay_device_changes`]). Their outputs
+//! are byte-identical (golden- and property-tested); the delta path just
 //! does string work proportional to changed bytes instead of archive
 //! bytes.
 //!
@@ -24,16 +24,13 @@
 //! paper's missing-snapshot months (≈11K usable cases out of 850 × 17).
 
 use crate::catalog::{Metric, N_METRICS};
-use crate::changes::DeviceChange;
+use crate::changes::{replay_device_changes, DeviceChange};
 use crate::design::compute_design;
 use crate::events::{group_events, DELTA_DEFAULT_MINUTES};
 use crate::table::{Case, CaseTable};
 use mpa_config::facts::{extract_facts, ConfigFacts};
 use mpa_config::typemap::ChangeType;
-use mpa_config::{
-    diff_configs, parse_config, ChangeAction, DeltaInference, KeyId, LineClasses, ParsedConfig,
-    ReplayBuffer, SnapshotMeta,
-};
+use mpa_config::{parse_config, ChangeAction, DeltaInference, KeyId, LineClasses, SnapshotMeta};
 use mpa_model::{DeviceId, NetworkId, Role};
 use mpa_synth::Dataset;
 use std::collections::BTreeMap;
@@ -44,43 +41,16 @@ use std::collections::BTreeMap;
 /// degraded ones audit their missing windows.
 const GAP_SPAN_MINUTES: u64 = 45 * 24 * 60;
 
-/// Cap on the replay arena a full-mode worker keeps between devices. A
-/// reused [`ReplayBuffer`] otherwise retains the largest device's footprint
-/// for the rest of its region (per-worker high-water memory that only
-/// returns to the allocator when the region ends); reclaiming past 1 MiB
-/// bounds that retention while leaving the common case — config texts are
-/// a few KiB — reallocation-free.
-const REPLAY_ARENA_CAP_BYTES: usize = 1 << 20;
-
 /// Which engine derives change records and month-end facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InferMode {
-    /// Materialize every distinct snapshot text and run the full parser on
-    /// each — the original pipeline, retained as the equivalence oracle.
+    /// Materialize every snapshot, parse each one and diff successive
+    /// parses — the naive reference the equivalence tests compare against.
     Full,
     /// Replay the archive's line-id deltas and re-parse only segments
     /// whose line span changed (the default).
     #[default]
     Delta,
-}
-
-impl InferMode {
-    /// Parse a CLI flag value (`"full"` / `"delta"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(Self::Full),
-            "delta" => Some(Self::Delta),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, for reports and usage text.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Delta => "delta",
-        }
-    }
 }
 
 /// Everything inference produces. The case table drives the analytics; the
@@ -106,7 +76,7 @@ pub fn infer(dataset: &Dataset, delta_minutes: u64) -> Inference {
 }
 
 /// Run the full inference pipeline with an explicit event window and
-/// engine choice.
+/// engine choice (the equivalence tests' entry point to the reference).
 pub fn infer_with_mode(dataset: &Dataset, delta_minutes: u64, mode: InferMode) -> Inference {
     let ctx = NetworkInferCtx::new(dataset, delta_minutes, mode);
 
@@ -191,8 +161,8 @@ impl NetworkInferCtx {
 
 /// Infer all case rows and change records for one network (pure w.r.t. the
 /// shared dataset; the parallel unit of `infer`). `classes` selects the
-/// engine: `Some` runs delta-native inference, `None` the full-parse
-/// oracle.
+/// engine: `Some` runs delta-native inference, `None` the naive
+/// reference.
 fn infer_network(
     dataset: &Dataset,
     network: &mpa_model::Network,
@@ -211,11 +181,9 @@ fn infer_network(
     let mut facts_by_month: Vec<BTreeMap<DeviceId, ConfigFacts>> =
         vec![BTreeMap::new(); n_months];
 
-    // One engine (or one replay arena, in full mode) serves every device
-    // of the network, so segment parses are shared across devices —
-    // stanzas repeat heavily within a network.
+    // One engine serves every device of the network, so segment parses
+    // are shared across devices — stanzas repeat heavily within a network.
     let mut engine = classes.map(|c| DeltaInference::new(&dataset.archive, c));
-    let mut replay = ReplayBuffer::new();
     let mut pairs: Vec<(KeyId, ChangeAction)> = Vec::new();
     for device in &network.devices {
         let metas = dataset.archive.device_metas(device.id);
@@ -245,15 +213,7 @@ fn infer_network(
                 &mut facts_by_month,
             ),
             None => {
-                infer_device_full(
-                    dataset,
-                    device,
-                    metas,
-                    &mut replay,
-                    &mut net_changes,
-                    &mut facts_by_month,
-                );
-                replay.reclaim(REPLAY_ARENA_CAP_BYTES);
+                infer_device_naive(dataset, device, metas, &mut net_changes, &mut facts_by_month)
             }
         }
     }
@@ -353,89 +313,41 @@ fn infer_network(
     (network.id, all_cases, net_changes)
 }
 
-/// Full-parse oracle for one device: materialize every distinct snapshot
-/// text and run the whole parser on each. Retained as the equivalence
-/// oracle for the delta path (`--infer-mode full`).
-fn infer_device_full(
+/// Naive reference for one device: the change records come from
+/// [`replay_device_changes`] (materialize, parse and diff every snapshot),
+/// and each month's facts from the latest parseable snapshot at or before
+/// the month's end. No dedup, no caches.
+fn infer_device_naive(
     dataset: &Dataset,
     device: &mpa_model::Device,
     metas: &[SnapshotMeta],
-    replay: &mut ReplayBuffer,
     net_changes: &mut Vec<DeviceChange>,
     facts_by_month: &mut [BTreeMap<DeviceId, ConfigFacts>],
 ) {
-    dataset.archive.device_distinct_texts(device.id, replay);
-    // Parse cache: `canon[ix]` is the distinct slot carrying snapshot
-    // `ix`'s text (first-appearance order), so each *distinct* config
-    // of the device is parsed (and fact-extracted) exactly once.
-    // Adjacent duplicates never reach the archive, but reverts to an
-    // earlier state do. Slot assignment equals full-text dedup
-    // (property-tested), so the counters below are mode-independent.
-    // Invariant maintained here: hits + misses == snapshots visited.
-    let canon = replay.canon();
-    let n_distinct = replay.n_distinct() as u64;
-    mpa_obs::counters::PARSE_SNAPSHOTS_VISITED.add(canon.len() as u64);
-    mpa_obs::counters::PARSE_CACHE_HITS.add(canon.len() as u64 - n_distinct);
-    mpa_obs::counters::PARSE_CACHE_MISSES.add(n_distinct);
-    mpa_obs::counters::INFER_FULL_PARSES.add(n_distinct);
-    let parsed: Vec<Option<ParsedConfig<'_>>> = (0..replay.n_distinct())
-        .map(|slot| parse_config(replay.text(slot), device.dialect()).ok())
-        .collect();
-    let parsed_at = |ix: usize| parsed[canon[ix]].as_ref();
-
-    // Change records from successive parseable snapshots.
-    let mut prev_ix: Option<usize> = None;
-    for (ix, meta) in metas.iter().enumerate() {
-        if parsed_at(ix).is_none() {
-            continue;
-        }
-        if let Some(pi) = prev_ix {
-            let old = parsed_at(pi).expect("tracked as parseable");
-            let new = parsed_at(ix).expect("checked");
-            let stanza_changes = diff_configs(old, new);
-            if !stanza_changes.is_empty() {
-                let mut types: Vec<ChangeType> =
-                    stanza_changes.iter().map(|c| c.change_type).collect();
-                types.sort_unstable();
-                types.dedup();
-                net_changes.push(DeviceChange {
-                    device: device.id,
-                    time: meta.time,
-                    login: meta.login.clone(),
-                    automated: dataset.directory.is_automated(&meta.login),
-                    types,
-                    n_stanzas: stanza_changes.len(),
-                });
-            }
-        }
-        prev_ix = Some(ix);
-    }
-
-    // Month-end facts: the latest parseable snapshot at or before
-    // each month boundary. Facts are memoized per *distinct* config
-    // (canonical index) so a quiet device is only analyzed once.
-    let mut facts_cache: BTreeMap<usize, ConfigFacts> = BTreeMap::new();
+    let dialect = device.dialect();
+    net_changes.extend(replay_device_changes(
+        &dataset.archive,
+        device.id,
+        dialect,
+        &dataset.directory,
+    ));
+    let texts = dataset.archive.device_texts(device.id);
     for (month, month_facts) in facts_by_month.iter_mut().enumerate() {
         let end = dataset.period.month_end(month);
-        // partition_point over snapshot times (sorted per archive).
         let upto = metas.partition_point(|m| m.time < end);
-        let Some(ix) = (0..upto).rev().find(|&i| parsed_at(i).is_some()) else {
-            continue;
-        };
-        let facts = facts_cache
-            .entry(canon[ix])
-            .or_insert_with(|| extract_facts(parsed_at(ix).expect("parseable")));
-        month_facts.insert(device.id, facts.clone());
+        let latest = texts.iter().take(upto).rev().find_map(|t| parse_config(t, dialect).ok());
+        if let Some(parsed) = latest {
+            month_facts.insert(device.id, extract_facts(&parsed));
+        }
     }
 }
 
 /// Delta-native inference for one device: replay the archive's line-id
 /// deltas through `engine`, paying string-parse cost only for cache-novel
-/// segments. Emits exactly the records `infer_device_full` would
-/// (golden- and property-tested), including the parse-cache counter
-/// triple — state dedup is the same `(line ids, byte length)` keying the
-/// replay buffer uses, so `hits + misses == visited` holds identically
-/// in both modes.
+/// segments. Emits exactly the records `infer_device_naive` would
+/// (golden- and property-tested). The parse-cache counter triple counts
+/// the engine's state dedup on `(line ids, byte length)`, which equals
+/// full-text dedup (property-tested), so `hits + misses == visited`.
 fn infer_device_delta(
     dataset: &Dataset,
     device: &mpa_model::Device,
@@ -456,7 +368,7 @@ fn infer_device_delta(
     // Change records from successive parseable snapshots. The merge walk
     // in `changes_between` yields one `(key, action)` pair per stanza
     // `diff_configs` would report, so the counts and deduped type sets
-    // below match the oracle's.
+    // below match the reference's.
     let mut prev_ix: Option<usize> = None;
     for (ix, meta) in metas.iter().enumerate() {
         let slot = replay.slot(ix);
@@ -483,9 +395,9 @@ fn infer_device_delta(
         prev_ix = Some(ix);
     }
 
-    // Month-end facts, memoized per distinct state exactly as in the full
-    // path; the parsed config is assembled from cached segments, never
-    // from re-rendered text.
+    // Month-end facts: the latest parseable snapshot at or before each
+    // month boundary, memoized per distinct state; the parsed config is
+    // assembled from cached segments, never from re-rendered text.
     let mut facts_cache: BTreeMap<u32, ConfigFacts> = BTreeMap::new();
     for (month, month_facts) in facts_by_month.iter_mut().enumerate() {
         let end = dataset.period.month_end(month);

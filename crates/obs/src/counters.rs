@@ -63,16 +63,6 @@ pub static ARCHIVE_LINES_INTERNED: Counter = Counter::new("archive_lines_interne
 pub static ARCHIVE_LINE_HITS: Counter = Counter::new("archive_line_hits");
 /// Bytes of config text (line + newline) not stored thanks to interning.
 pub static ARCHIVE_BYTES_SAVED: Counter = Counter::new("archive_bytes_saved");
-/// Distinct snapshot states materialized by the dedup-before-materialize
-/// replay path (`device_distinct_texts`); duplicates (reverts to an
-/// earlier state) are detected on the interned line-id sequences and
-/// never rendered to text.
-pub static ARCHIVE_SNAPSHOTS_MATERIALIZED: Counter =
-    Counter::new("archive_snapshots_materialized");
-/// Bytes of snapshot text actually rendered by the replay path (distinct
-/// states only). Compare against `total_bytes` for the materialization
-/// saving.
-pub static ARCHIVE_BYTES_MATERIALIZED: Counter = Counter::new("archive_bytes_materialized");
 /// Line ids rewritten from shard-local to global ids. Only the pairwise
 /// [`SnapshotArchive::merge`] path (serve-session composition) still
 /// remaps individual delta-stream ids; the sharded `merge_all` uses
@@ -87,11 +77,11 @@ pub static ARCHIVE_MERGE_TABLE_LINES: Counter = Counter::new("archive_merge_tabl
 
 // --- delta-native generation (incremented by mpa-config / mpa-synth) -----
 //
-// Invariant checked by the CLI tests in both gen modes:
+// Invariant checked by the CLI tests and CI:
 // `gen_render_cache_hits + gen_render_cache_misses == gen_chunks_rendered`
 // (every chunk render consults the per-network render cache exactly once;
-// the full-render oracle performs no chunk renders, so all three are zero
-// there).
+// the library-level full-render reference performs no chunk renders, so
+// all three are zero there).
 
 /// Chunk renders performed by the delta-native generator (= render-cache
 /// lookups; dirty chunks only, hit or miss).
@@ -101,13 +91,13 @@ pub static GEN_CHUNKS_RENDERED: Counter = Counter::new("gen_chunks_rendered");
 pub static GEN_RENDER_CACHE_HITS: Counter = Counter::new("gen_render_cache_hits");
 /// Chunk renders with novel text, split and interned line by line.
 pub static GEN_RENDER_CACHE_MISSES: Counter = Counter::new("gen_render_cache_misses");
-/// Config lines produced by chunk renders (hit or miss). The delta path's
-/// analogue of the full path's per-snapshot line count — compare against
-/// `archive_line_hits + archive_lines_interned` under `--gen-mode full`
-/// for the cost-proportional-to-changed-lines claim.
+/// Config lines produced by chunk renders (hit or miss) — compare against
+/// `archive_line_hits + archive_lines_interned` (every line of every
+/// archived snapshot) for the cost-proportional-to-changed-lines claim.
 pub static GEN_LINES_RENDERED: Counter = Counter::new("gen_lines_rendered");
 /// Bytes of chunk text produced by the delta-native generator. Compare
-/// against the ~1.7 GB the full-render oracle produces at paper scale.
+/// against the ~1.7 GB of snapshot text the archive represents at paper
+/// scale.
 pub static GEN_BYTES_RENDERED: Counter = Counter::new("gen_bytes_rendered");
 /// Dirty-chunk splices applied to live device documents (chunk slots
 /// inserted, replaced or removed at snapshot-record time).
@@ -115,25 +105,23 @@ pub static GEN_SPLICE_OPS: Counter = Counter::new("gen_splice_ops");
 
 // --- inference parse cache (incremented by mpa-metrics) ------------------
 
-/// Snapshots walked by the inference pipeline (= parse-cache lookups).
+/// Snapshots walked by the delta-native inference engine (= state-dedup
+/// lookups in `DeltaInference::replay_device`).
 pub static PARSE_SNAPSHOTS_VISITED: Counter = Counter::new("parse_snapshots_visited");
-/// Snapshots whose text was already parsed for the same device.
+/// Snapshots whose state (line ids + byte length) was already analyzed
+/// for the same device.
 pub static PARSE_CACHE_HITS: Counter = Counter::new("parse_cache_hits");
-/// Snapshots with novel text, parsed and fact-extracted once.
+/// Snapshots with a novel state, segmented and fact-extracted once.
 pub static PARSE_CACHE_MISSES: Counter = Counter::new("parse_cache_misses");
 
 // --- delta-native inference (incremented by mpa-config / mpa-metrics) ----
 
-/// Whole-snapshot parses performed by the full-parse oracle path
-/// (`--infer-mode full`); the delta-native path performs none, which is
-/// exactly the point.
-pub static INFER_FULL_PARSES: Counter = Counter::new("infer_full_parses");
 /// Stanzas parsed by the delta-native path: stanzas of segments not
 /// already present in the per-network segment cache (novel text only).
 pub static INFER_STANZAS_REPARSED: Counter = Counter::new("infer_stanzas_reparsed");
 /// Bytes of stanza text the delta-native path actually read and parsed
-/// (novel segments only). Compare against `archive_bytes_materialized`
-/// under the full path for the cost-proportional-to-changed-bytes claim.
+/// (novel segments only). Compare against the archive's `total_bytes`
+/// for the cost-proportional-to-changed-bytes claim.
 pub static INFER_DELTA_BYTES: Counter = Counter::new("infer_delta_bytes");
 
 // --- parallel execution (incremented by mpa-exec) ------------------------
@@ -191,7 +179,7 @@ pub static DEGRADE_TICKETS_CORRUPTED: Counter = Counter::new("degrade_tickets_co
 /// Device-history gaps (> ~45 days between successive snapshots) the
 /// inference walk spanned without error. Gaps occur in pristine corpora
 /// too (quiet devices, unlogged months), so this counts *gaps spanned*,
-/// not degradations detected; it is identical across infer modes.
+/// not degradations detected; it is identical for both engines.
 pub static INFER_GAPS_SPANNED: Counter = Counter::new("infer_gaps_spanned");
 
 // --- serve daemon (incremented by mpa-serve / mpa-core session) ----------
@@ -226,8 +214,6 @@ pub static ALL: &[&Counter] = &[
     &ARCHIVE_LINES_INTERNED,
     &ARCHIVE_LINE_HITS,
     &ARCHIVE_BYTES_SAVED,
-    &ARCHIVE_SNAPSHOTS_MATERIALIZED,
-    &ARCHIVE_BYTES_MATERIALIZED,
     &ARCHIVE_MERGE_REMAPPED_LINES,
     &ARCHIVE_MERGE_TABLE_LINES,
     &GEN_CHUNKS_RENDERED,
@@ -239,7 +225,6 @@ pub static ALL: &[&Counter] = &[
     &PARSE_SNAPSHOTS_VISITED,
     &PARSE_CACHE_HITS,
     &PARSE_CACHE_MISSES,
-    &INFER_FULL_PARSES,
     &INFER_STANZAS_REPARSED,
     &INFER_DELTA_BYTES,
     &PAR_MAP_REGIONS,

@@ -37,36 +37,19 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// only the chunks an op dirtied (see [`mpa_config::chunk`]) and emits
 /// interned line-id sequences straight into the [`ArchiveBuilder`], while
 /// full mode renders every device document from scratch on every snapshot.
-/// Full mode is retained as the equivalence oracle (`--gen-mode full`),
-/// mirroring the inference layer's `InferMode`.
+/// Full mode is a library-level reference for the equivalence tests,
+/// mirroring the inference layer's `InferMode`; the product always
+/// generates in delta mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GenMode {
-    /// Render the whole document for every snapshot — the original path,
-    /// O(fleet size) per change, kept as the oracle.
+    /// Render the whole document for every snapshot via
+    /// `render_config_into` — O(fleet size) per change, kept as the
+    /// reference.
     Full,
     /// Re-render only dirty chunks and splice interned line ids (the
     /// default): generation cost proportional to changed bytes.
     #[default]
     Delta,
-}
-
-impl GenMode {
-    /// Parse a CLI flag value (`"full"` / `"delta"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(Self::Full),
-            "delta" => Some(Self::Delta),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, for reports and usage text.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Delta => "delta",
-        }
-    }
 }
 
 /// Live rendered document of one device in delta mode: the render-cache
@@ -953,17 +936,6 @@ mod tests {
         // Same RNG consumption: the rest of the output matches too.
         assert_eq!(format!("{:?}", delta.truth), format!("{:?}", full.truth));
         assert_eq!(delta.tickets, full.tickets);
-    }
-
-    #[test]
-    fn gen_mode_parse_round_trips() {
-        assert_eq!(GenMode::parse("delta"), Some(GenMode::Delta));
-        assert_eq!(GenMode::parse("full"), Some(GenMode::Full));
-        assert_eq!(GenMode::parse("chunky"), None);
-        assert_eq!(GenMode::default(), GenMode::Delta);
-        for m in [GenMode::Delta, GenMode::Full] {
-            assert_eq!(GenMode::parse(m.label()), Some(m));
-        }
     }
 
     #[test]

@@ -73,11 +73,6 @@ fn both_infer_modes_reproduce_the_golden_case_table() {
         let table =
             infer_with_mode(&dataset, mpa::metrics::DELTA_DEFAULT_MINUTES, mode).table;
         let rendered = serde_json::to_string(&table).expect("serializes");
-        assert_eq!(
-            committed,
-            rendered,
-            "{} mode diverged from the golden case table",
-            mode.label()
-        );
+        assert_eq!(committed, rendered, "{mode:?} mode diverged from the golden case table");
     }
 }
